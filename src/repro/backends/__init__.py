@@ -1,52 +1,66 @@
-"""Specialized detailed-path simulation backends.
+"""Simulation kernels by name: the engine loops and the detailed-path backends.
 
-Alternative hosts for the hot per-cycle loop, slotting under
-``ProcessorConfig.kernel`` next to the built-in ``naive``/``skip``
-kernels of :mod:`repro.core.engine`:
+:data:`KERNELS` maps every ``ProcessorConfig.kernel`` name to its run
+function; :func:`repro.core.engine.run_kernel` dispatches through it.
+Besides the built-in ``naive``/``skip`` loops of
+:mod:`repro.core.engine`, two backends host the hot per-cycle loop
+differently:
 
 * ``vectorized`` — scoreboard and issue-queue hot state re-hosted as
-  numpy structure-of-arrays (:mod:`repro.backends.soa`) under the
-  proven event-driven skip driver.
-* ``specialized`` — a per-configuration generated Python kernel with
+  numpy structure-of-arrays (:mod:`repro.backends.soa`) under the skip
+  driver.
+* ``specialized`` — a per-configuration generated Python step with
   geometry, widths, latencies and scheme dispatch baked in as literals
-  (:mod:`repro.backends.codegen`), compiled once and cached
-  content-addressed beside the result store.
+  (:mod:`repro.backends.codegen`), compiled once, cached
+  content-addressed beside the result store, and driven by the skip
+  driver.
 
-Both are execution strategies, not behaviour: bit-identical to
-``naive`` on every statistic, enforced by the randomized differential
-net and the discovery kernel-equivalence oracle. See
-:mod:`repro.backends.base` for the full contract.
+The contract every entry keeps:
+
+* ``run(processor, total, max_cycles, warmup_instructions)`` simulates
+  until ``total`` instructions commit and returns
+  :class:`~repro.common.stats.SimulationStats` with the same semantics
+  as :func:`repro.core.engine.run_naive`. It fills
+  ``processor.kernel_telemetry`` and raises
+  :class:`~repro.common.errors.SimulationError` on forward-progress
+  failure.
+* **Bit identity**: every statistic the run reports is field-for-field
+  equal to the ``naive`` kernel's on the same inputs. A kernel is an
+  execution strategy, never simulated behaviour; the randomized
+  differential net (``tests/test_kernel_equivalence.py``) and the
+  discovery kernel-equivalence oracle enforce this.
+* A backend may replace pipeline components on the processor instance
+  it is handed (the vectorized backend swaps in a numpy-mirrored
+  scoreboard and SoA issue-queue adapters; the specialized backend
+  binds its generated ``step``), but only state private to that
+  instance: checkpoints restored *before* ``Processor.run`` (sampled
+  slices) and prewarm memoization touch the memory hierarchy and
+  predictor only, which backends must not rehost.
+* Kernel names validate through ``ProcessorConfig.kernel``, stay
+  excluded from cache fingerprints (``_FINGERPRINT_EXCLUDE``), and this
+  package is part of the source material of ``SIMULATOR_VERSION_TAG``,
+  so editing a backend invalidates cached results.
 """
 
 from __future__ import annotations
 
-from repro.common.config import VALID_KERNELS
-from repro.common.errors import SimulationError
+from repro.common.config import (
+    KERNEL_NAIVE,
+    KERNEL_SKIP,
+    KERNEL_SPECIALIZED,
+    KERNEL_VECTORIZED,
+)
+from repro.core.engine import run_naive, run_skipping
 
-from repro.backends.base import SimulationBackend
-from repro.backends.specialized import SpecializedBackend
-from repro.backends.vectorized import VectorizedBackend
+from repro.backends.specialized import run_specialized
+from repro.backends.vectorized import run_vectorized
 
-__all__ = ["SimulationBackend", "BACKENDS", "get_backend"]
+__all__ = ["KERNELS"]
 
-#: Registered backends by kernel name.
-BACKENDS = {
-    backend.name: backend
-    for backend in (VectorizedBackend(), SpecializedBackend())
+#: Run function by kernel name, in ``VALID_KERNELS`` order.
+KERNELS = {
+    KERNEL_NAIVE: run_naive,
+    KERNEL_SKIP: run_skipping,
+    KERNEL_VECTORIZED: run_vectorized,
+    KERNEL_SPECIALIZED: run_specialized,
 }
-
-
-def get_backend(name: str) -> SimulationBackend:
-    """The backend registered under kernel name ``name``.
-
-    Raises :class:`SimulationError` with the engine's "unknown simulation
-    kernel" phrasing so callers see one error shape regardless of whether
-    a bad name misses the built-in kernels or the backend registry.
-    """
-    backend = BACKENDS.get(name)
-    if backend is None:
-        raise SimulationError(
-            f"unknown simulation kernel {name!r}; valid kernels: "
-            + ", ".join(sorted(VALID_KERNELS))
-        )
-    return backend

@@ -1,23 +1,24 @@
 """Per-configuration kernel generation for the ``specialized`` backend.
 
 :func:`generate_source` emits a Python module specialized to one
-:class:`~repro.common.config.ProcessorConfig`: geometry constants,
-issue/commit widths, D-cache port count and every functional-unit
+:class:`~repro.common.config.ProcessorConfig`: ROB size, decode,
+issue and commit widths, D-cache port count and every functional-unit
 latency are baked in as literals, the issue-scheme dispatch is resolved
 at generation time (only the configured scheme's selection code is
 emitted — dead branches folded), and the per-cycle hot path is flattened
-into one ``_step`` closure: the ``IssueContext`` call tower, the
+into one ``_step`` closure: the ``IssueContext`` checks, the
 per-operand scoreboard accessors, ``_schedule_completion`` and the
 ``StatCounters.add`` layer are all inlined into direct list/dict
 operations. CPython call overhead dominates the interpreted detailed
 path, so the flattening — not algorithmic change — is the speedup.
 
-The generated module exposes ``make_kernel(processor)`` returning a
-``run(total, max_cycles, warmup_instructions)`` driver that clones the
-event-driven skipping loop of :mod:`repro.core.engine` verbatim
-(quiescence proof, measured-delta interval accounting, pure-broadcast
-drain spans, fault hooks), so a specialized run is bit-identical to
-``naive``/``skip`` by the same construction the skip kernel relies on.
+The generated module exposes only ``make_step(processor)``, returning
+that closure with the same ``(cycle) -> (active, retired)`` contract as
+:meth:`Processor.step`. The backend binds it on the processor instance
+and drives it through :func:`repro.core.engine.run_skipping`, so the
+quiescence proof, interval accounting and fault hooks exist once, and a
+specialized run is bit-identical to ``naive``/``skip`` by the same
+construction the skip kernel relies on.
 
 Inlining ground rules (the bit-identity contract):
 
@@ -27,9 +28,11 @@ Inlining ground rules (the bit-identity contract):
   conventional scheme's ready-bound cache keys on it);
 * ``_scan_shortcircuit`` is read from the scheme at *run* time — the
   equivalence tests toggle it;
-* anything stateful that is not hot stays a call: placement heuristics
-  (``scheme.try_dispatch``), rename, commit, fetch, LSQ bookkeeping,
-  the MixBUFF FP selector (which gets a real ``IssueContext``).
+* anything stateful that is not hot stays a call: dispatch placement
+  (``scheme.try_dispatch`` for every scheme, so the Section 2.2 FIFO
+  steering rules live only in :class:`~repro.issue.fifo_side.FifoSide`),
+  rename, fetch, LSQ bookkeeping, the MixBUFF FP selector (which gets a
+  real ``IssueContext``).
 
 Generated sources are cached content-addressed by
 :mod:`repro.backends.kernel_cache`; this module's own bytes are part of
@@ -84,7 +87,8 @@ def kernel_spec(config: ProcessorConfig) -> dict:
 
     Two configs with equal specs compile to byte-identical kernels, so
     e.g. all benchmarks of one figure share one cached kernel per
-    scheme. Anything that cannot change the emitted source (cache
+    scheme. Anything that cannot change the emitted source (queue
+    counts and sizes, which only the interpreted placement reads; cache
     geometry, branch predictor, register-file sizes) stays out.
     """
     scheme = config.scheme
@@ -92,13 +96,7 @@ def kernel_spec(config: ProcessorConfig) -> dict:
     return {
         "v": 1,
         "scheme_kind": scheme.kind,
-        "int_queues": scheme.int_queues,
-        "int_queue_entries": scheme.int_queue_entries,
-        "fp_queues": scheme.fp_queues,
-        "fp_queue_entries": scheme.fp_queue_entries,
-        "unbounded": bool(scheme.unbounded),
         "distributed": bool(scheme.distributed_fus),
-        "max_chains": scheme.max_chains_per_queue,
         "decode_width": config.decode_width,
         "commit_width": config.commit_width,
         "int_issue_width": config.int_issue_width,
@@ -402,131 +400,6 @@ if queue:
             _ev["iq_buff_read"] = _ev.get("iq_buff_read", 0) + len(taken)"""
 
 
-def _fifo_choose_code(queues_var: str, map_var: str, tail_var: str,
-                      side_var: str, cap: int) -> str:
-    """Inlined ``FifoSide._choose_queue``: sets ``qi`` (None on stall).
-
-    Replicates the three placement heuristics including their event and
-    stall-counter side effects (the rule counters live on the side object
-    because the skip kernel's idle accounting reads them there).
-    """
-    return f"""\
-qi = None
-srcs_a = inst.srcs
-first = None
-if srcs_a:
-    _ev["qrename_read"] = _ev.get("qrename_read", 0) + 1
-    _k = (srcs_a[0].is_fp, srcs_a[0].index)
-    _q = {map_var}.get(_k)
-    if _q is not None and {tail_var}.get(_q) == _k:
-        first = _q
-if first is not None and len({queues_var}[first]) < {cap}:
-    qi = first
-elif first is not None and len(srcs_a) == 1:
-    {side_var}.stalls_rule1_full += 1
-else:
-    second = None
-    if len(srcs_a) > 1:
-        _ev["qrename_read"] = _ev.get("qrename_read", 0) + 1
-        _k = (srcs_a[1].is_fp, srcs_a[1].index)
-        _q = {map_var}.get(_k)
-        if _q is not None and {tail_var}.get(_q) == _k:
-            second = _q
-    if second is not None:
-        if len({queues_var}[second]) < {cap}:
-            qi = second
-        else:
-            {side_var}.stalls_rule2_full += 1
-    else:
-        for _qi2, _q2 in enumerate({queues_var}):
-            if not _q2:
-                qi = _qi2
-                break
-        else:
-            {side_var}.stalls_no_empty += 1"""
-
-
-def _fifo_place_code(queues_var: str, map_var: str, tail_var: str,
-                     side_var: str, cap: int, after_append: str = "") -> str:
-    """Inlined ``FifoSide.try_place`` + ``_append`` with stall break."""
-    choose = _fifo_choose_code(queues_var, map_var, tail_var, side_var, cap)
-    return f"""\
-{choose}
-if qi is None:
-    {side_var}.dispatch_stalls += 1
-    rob._next_age = age
-    stalled = True
-    blocked = inst
-    break
-{queues_var}[qi].append(uop)
-uop.queue_index = qi
-dest = inst.dest
-if dest is not None:
-    _ev["qrename_write"] = _ev.get("qrename_write", 0) + 1
-    _kd = (dest.is_fp, dest.index)
-    {map_var}[_kd] = qi
-    {tail_var}[qi] = _kd
-_ev["fifo_write"] = _ev.get("fifo_write", 0) + 1{after_append}"""
-
-
-_INTERPRETED_PLACE = """\
-if not scheme.try_dispatch(uop, cycle):
-    rob._next_age = age
-    stalled = True
-    blocked = inst
-    break"""
-
-
-def _dispatch_place_block(spec: dict) -> str:
-    """Scheme-specific placement inside the dispatch loop.
-
-    The plain-FIFO paths (both IssueFIFO sides, the LatFIFO/MixBUFF
-    integer sides) and the conventional append inline fully; the
-    estimator-placed LatFIFO FP side and the MixBUFF chain placement
-    stay interpreted via ``scheme.try_dispatch``.
-    """
-    kind = spec["scheme_kind"]
-    if kind == SCHEME_CONVENTIONAL:
-        int_cap = spec["rob_entries"] if spec["unbounded"] else spec["int_queue_entries"]
-        fp_cap = spec["rob_entries"] if spec["unbounded"] else spec["fp_queue_entries"]
-        return f"""\
-if _opinfo[inst.op][0]:
-    if len(cq_fp) >= {fp_cap}:
-        rob._next_age = age
-        stalled = True
-        blocked = inst
-        break
-    cq_fp.append(uop)
-    cq_rev[1] += 1
-else:
-    if len(cq_int) >= {int_cap}:
-        rob._next_age = age
-        stalled = True
-        blocked = inst
-        break
-    cq_int.append(uop)
-    cq_rev[0] += 1
-_ev["iq_buff_write"] = _ev.get("iq_buff_write", 0) + 1"""
-    int_place = _fifo_place_code(
-        "int_queues_list", "imap", "itail", "iside", spec["int_queue_entries"],
-        after_append=(
-            "\nestimator.estimate(inst, cycle)" if kind == SCHEME_LATFIFO else ""
-        ),
-    )
-    if kind == SCHEME_ISSUEFIFO:
-        fp_place = _fifo_place_code(
-            "fp_queues_list", "fmap", "ftail", "fside", spec["fp_queue_entries"]
-        )
-    else:  # latfifo estimator placement / mixbuff chains stay interpreted
-        fp_place = _INTERPRETED_PLACE
-    return (
-        "if _opinfo[inst.op][0]:\n"
-        + _indent(fp_place, 4)
-        + "\nelse:\n"
-        + _indent(int_place, 4)
-    )
-
-
 def _issue_stage(spec: dict) -> str:
     kind = spec["scheme_kind"]
     header = f"""\
@@ -600,27 +473,8 @@ cq_int = scheme._int_queue
 cq_fp = scheme._fp_queue
 cq_rev = scheme._queue_rev
 cq_bound = scheme._ready_bound"""
-    fifo_int = """\
-iside = scheme.int_side
-int_queues_list = iside.queues
-imap = iside.table._map
-itail = iside.table._tail_reg"""
-    if kind == SCHEME_MIXBUFF:
-        return fifo_int + "\nmb_queues = scheme.fp_side.queues"
-    if kind == SCHEME_LATFIFO:
-        return (
-            fifo_int
-            + "\nfp_queues_list = scheme.fp_side.queues"
-            + "\nestimator = scheme.estimator"
-        )
-    return (
-        fifo_int
-        + """
-fside = scheme.fp_side
-fp_queues_list = fside.queues
-fmap = fside.table._map
-ftail = fside.table._tail_reg"""
-    )
+    fp_queues = "mb_queues" if kind == SCHEME_MIXBUFF else "fp_queues_list"
+    return f"int_queues_list = scheme.int_side.queues\n{fp_queues} = scheme.fp_side.queues"
 
 
 def _occupancy_expr(spec: dict) -> str:
@@ -661,8 +515,6 @@ Spec digest: {spec_digest(spec)}
 Spec: {json.dumps(spec, sort_keys=True)}
 """
 
-from repro.common import faults
-from repro.core.engine import _no_progress
 from repro.core.uop import InFlight
 from repro.isa.opcodes import FuType, OpClass
 from repro.issue.base import IssueContext, IssueScheme
@@ -672,7 +524,7 @@ _NEVER = 1 << 60
 {_opinfo_literal(spec)}
 
 
-def make_kernel(processor):
+def make_step(processor):
     config = processor.config
     scheme = processor.scheme
     events = processor.events
@@ -751,7 +603,11 @@ def make_kernel(processor):
             age = rob._next_age
             rob._next_age = age + 1
             uop = InFlight(inst, [], None, None, len(rob_entries), age, cycle)
-{_indent(_dispatch_place_block(spec), 12)}
+            if not scheme.try_dispatch(uop, cycle):
+                rob._next_age = age
+                stalled = True
+                blocked = inst
+                break
             decode_queue.popleft()
             renamed = renamer.rename(inst.srcs, inst.dest)
             uop.src_phys = renamed["src_phys"]
@@ -799,54 +655,6 @@ def make_kernel(processor):
         )
         return activity, retired
 
-    def run(total, max_cycles, warmup_instructions):
-        # Verbatim clone of repro.core.engine.run_skipping over _step.
-        telemetry = processor.kernel_telemetry
-        committed = 0
-        cycle = 0
-        snapshot = None
-        while committed < total:
-            if cycle > max_cycles:
-                raise _no_progress(processor, cycle, committed, total)
-            active, retired = _step(cycle)
-            committed += retired
-            cycle += 1
-            telemetry.executed_cycles += 1
-            if snapshot is None and committed >= warmup_instructions:
-                snapshot = processor._snapshot(cycle, committed)
-            if active or committed >= total:
-                continue
-            target = processor.next_event_cycle(cycle, defer_inert_broadcasts=True)
-            if target is None:
-                raise _no_progress(processor, cycle, committed, total)
-            if target <= cycle + 1:
-                continue
-            if cycle > max_cycles:
-                raise _no_progress(processor, cycle, committed, total)
-            before = processor.idle_accounting_snapshot()
-            active, retired = _step(cycle)
-            committed += retired
-            cycle += 1
-            telemetry.executed_cycles += 1
-            if snapshot is None and committed >= warmup_instructions:
-                snapshot = processor._snapshot(cycle, committed)
-            if active:
-                continue
-            span = min(target, max_cycles + 1) - cycle
-            if span > 0:
-                replayed = span
-                if span > 8 and faults.is_active(faults.SKIP_IDLE_UNDERCOUNT):
-                    replayed = span - 1
-                processor.advance_idle(before, replayed)
-                telemetry.drained_broadcasts += processor.drain_broadcasts(
-                    cycle, cycle + span
-                )
-                cycle += span
-                telemetry.skipped_cycles += span
-                telemetry.skip_spans += 1
-        processor._finalize(cycle, committed, snapshot)
-        return processor.stats
-
-    return run
+    return _step
 '''
     return body

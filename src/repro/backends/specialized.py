@@ -1,31 +1,27 @@
-"""The ``specialized`` backend: per-configuration compiled kernels.
+"""The ``specialized`` backend: per-configuration compiled steps.
 
 Profiles of the detailed path show CPython *call* overhead — the
-``IssueContext`` tower, per-operand scoreboard accessors,
+``IssueContext`` checks, per-operand scoreboard accessors,
 ``StatCounters.add`` — dwarfing the actual work, so this backend
-generates one flat Python module per processor configuration
+generates one flat per-cycle step per processor configuration
 (:mod:`repro.backends.codegen`), compiles it once, caches it
 content-addressed beside the result store
-(:mod:`repro.backends.kernel_cache`), and drives the run through it.
-Warm runs skip codegen entirely: in-process via the module memo, across
-processes via the on-disk cache.
+(:mod:`repro.backends.kernel_cache`), and drives it through the skip
+kernel's loop. Warm runs skip codegen entirely: in-process via the
+module memo, across processes via the on-disk cache.
 """
 
 from __future__ import annotations
 
+from repro.core import engine
+
 from repro.backends import codegen, kernel_cache
-from repro.backends.base import SimulationBackend
 
-__all__ = ["SpecializedBackend"]
+__all__ = ["run_specialized"]
 
 
-class SpecializedBackend(SimulationBackend):
-    """Per-config generated kernel, bit-identical to ``naive`` by clone."""
-
-    name = "specialized"
-
-    def run(self, processor, total, max_cycles, warmup_instructions):
-        spec = codegen.kernel_spec(processor.config)
-        module = kernel_cache.load_kernel_module(spec)
-        kernel = module.make_kernel(processor)
-        return kernel(total, max_cycles, warmup_instructions)
+def run_specialized(processor, total, max_cycles, warmup_instructions):
+    """Bind the generated step on ``processor`` and run the skip loop."""
+    module = kernel_cache.load_kernel_module(codegen.kernel_spec(processor.config))
+    processor.step = module.make_step(processor)
+    return engine.run_skipping(processor, total, max_cycles, warmup_instructions)

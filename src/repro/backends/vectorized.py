@@ -23,20 +23,21 @@ from repro.issue.fifo_side import FifoSide
 from repro.issue.latfifo import LatencyPlacedFifoSide
 from repro.issue.mixbuff import MixBuffScheme
 
-from repro.backends.base import SimulationBackend
-from repro.backends.soa import (
-    VectorConventionalIssueQueue,
-    VectorFifoSide,
-    VectorLatencyPlacedFifoSide,
-    VectorScoreboard,
-    numpy_available,
-)
-
-__all__ = ["VectorizedBackend", "install_vector_state"]
+__all__ = ["install_vector_state", "run_vectorized"]
 
 
 def install_vector_state(processor) -> None:
     """Swap the processor's hot state onto the SoA hosts (idempotent)."""
+    # Imported here so numpy loads only when a vectorized run starts, not
+    # in every process that looks up a kernel in ``repro.backends.KERNELS``.
+    from repro.backends.soa import (
+        VectorConventionalIssueQueue,
+        VectorFifoSide,
+        VectorLatencyPlacedFifoSide,
+        VectorScoreboard,
+        numpy_available,
+    )
+
     if not numpy_available():  # pragma: no cover - numpy ships in-image
         raise SimulationError(
             "the 'vectorized' kernel requires numpy, which is not installed"
@@ -63,11 +64,7 @@ def install_vector_state(processor) -> None:
         scheme.bind_scoreboard(vsb)
 
 
-class VectorizedBackend(SimulationBackend):
-    """Numpy structure-of-arrays batching behind the skip driver."""
-
-    name = "vectorized"
-
-    def run(self, processor, total, max_cycles, warmup_instructions):
-        install_vector_state(processor)
-        return engine.run_skipping(processor, total, max_cycles, warmup_instructions)
+def run_vectorized(processor, total, max_cycles, warmup_instructions):
+    """Install the SoA hosts on ``processor`` and run the skip loop."""
+    install_vector_state(processor)
+    return engine.run_skipping(processor, total, max_cycles, warmup_instructions)

@@ -40,6 +40,11 @@ stage code and must be bit-identical in every reported statistic:
     wheel, the span jumps over them, and their accounting is replayed in
     closed form (:meth:`Processor.drain_broadcasts`), still bit-identical.
 
+    The ``vectorized`` and ``specialized`` backends of
+    :mod:`repro.backends` reuse :func:`run_skipping` unchanged: they
+    re-host the processor's state or bind a generated ``step`` on the
+    instance, so this loop is the only skip driver.
+
 ``sampled`` (:func:`run_sampled`)
     Not a kernel but a third *execution mode*: detailed simulation of
     systematically chosen trace slices (driven through ``run_kernel``),
@@ -215,9 +220,6 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
     return processor.stats
 
 
-_KERNELS = {KERNEL_NAIVE: run_naive, KERNEL_SKIP: run_skipping}
-
-
 def run_sampled(
     config,
     trace,
@@ -293,15 +295,20 @@ def run_sampled(
 
 def run_kernel(processor, kernel: str, total: int, max_cycles: int,
                warmup_instructions: int):
-    """Dispatch to the requested kernel and fold telemetry globally."""
-    runner = _KERNELS.get(kernel)
-    if runner is None:
-        # Backend kernels (vectorized, specialized) live in repro.backends;
-        # imported lazily so the core engine stays dependency-light and
-        # get_backend keeps the single "unknown simulation kernel" error.
-        from repro.backends import get_backend
+    """Dispatch to the requested kernel and fold telemetry globally.
 
-        runner = get_backend(kernel).run
+    The kernel table lives in :mod:`repro.backends` (imported lazily so
+    the core engine stays dependency-light) and covers every entry of
+    ``VALID_KERNELS``.
+    """
+    from repro.backends import KERNELS
+
+    runner = KERNELS.get(kernel)
+    if runner is None:
+        raise SimulationError(
+            f"unknown simulation kernel {kernel!r}; valid kernels: "
+            + ", ".join(sorted(VALID_KERNELS))
+        )
     try:
         return runner(processor, total, max_cycles, warmup_instructions)
     finally:

@@ -207,17 +207,12 @@ def version_payload() -> Dict[str, object]:
     construction, so CLI-vs-service cache mismatches are diagnosable
     with one diff.
     """
-    from repro.backends import BACKENDS
     from repro.experiments.store import SAMPLING_VERSION_TAG, SIMULATOR_VERSION_TAG
 
     return {
         "simulator_version_tag": SIMULATOR_VERSION_TAG,
         "sampling_version_tag": SAMPLING_VERSION_TAG,
         "kernels": list(VALID_KERNELS),
-        "backends": {
-            name: type(backend).__name__
-            for name, backend in sorted(BACKENDS.items())
-        },
     }
 
 

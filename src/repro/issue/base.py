@@ -53,56 +53,39 @@ class IssueContext:
         self.memory_budget = config.dcache.ports
         self.issued: List[InFlight] = []
 
-    def operands_ready(self, uop: InFlight) -> bool:
-        """All issue-relevant operands available to an instruction issuing now.
-
-        For stores this is the address operands only — the data is read
-        at commit (Section 3.1 splits stores into address computation
-        and memory access).
-        """
-        return self.scoreboard.all_ready(uop.issue_srcs, self.cycle)
-
-    def load_gated(self, uop: InFlight) -> bool:
-        """True if a load must wait on older stores.
-
-        Two conditions gate a load: every older store must have issued
-        (so addresses are known for disambiguation), and any older store
-        it would forward from must have its data availability scheduled.
-        """
-        if not uop.op.is_load:
-            return False
-        if not self.lsq.can_issue_load(uop.seq):
-            return True
-        return self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
-
-    def _budget_ok(self, uop: InFlight) -> bool:
-        side_budget = self.fp_budget if uop.op.is_fp else self.int_budget
-        if side_budget <= 0:
-            return False
-        if uop.op.is_memory and self.memory_budget <= 0:
-            return False
-        return True
-
-    def can_issue(self, uop: InFlight, queue_index: Optional[int] = None) -> bool:
-        """All checks except FU reservation (non-destructive)."""
-        return (
-            self._budget_ok(uop)
-            and self.operands_ready(uop)
-            and not self.load_gated(uop)
-        )
-
     def issue(self, uop: InFlight, queue_index: Optional[int] = None) -> bool:
-        """Try to issue ``uop`` now; reserves resources on success."""
-        if not self.can_issue(uop, queue_index):
+        """Try to issue ``uop`` now; reserves resources on success.
+
+        Checks run in a fixed order — issue-width and memory-port
+        budgets, operand readiness, load gating, then FU reservation —
+        and only the last one has side effects.
+        """
+        op = uop.op
+        if (self.fp_budget if op.is_fp else self.int_budget) <= 0:
             return False
-        latency = latency_for(uop.op, self.config.fus)
-        if not self.fu_pool.try_allocate(uop.fu_type, uop.op, latency, self.cycle, queue_index):
+        if op.is_memory and self.memory_budget <= 0:
             return False
-        if uop.op.is_fp:
+        # For stores the issue operands are the address operands only —
+        # the data is read at commit (Section 3.1 splits stores into
+        # address computation and memory access).
+        if not self.scoreboard.all_ready(uop.issue_srcs, self.cycle):
+            return False
+        # A load waits until every older store has issued (so addresses
+        # are known for disambiguation) and until any older store it
+        # would forward from has its data availability scheduled.
+        if op.is_load and (
+            not self.lsq.can_issue_load(uop.seq)
+            or self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
+        ):
+            return False
+        latency = latency_for(op, self.config.fus)
+        if not self.fu_pool.try_allocate(uop.fu_type, op, latency, self.cycle, queue_index):
+            return False
+        if op.is_fp:
             self.fp_budget -= 1
         else:
             self.int_budget -= 1
-        if uop.op.is_memory:
+        if op.is_memory:
             self.memory_budget -= 1
         uop.issue_cycle = self.cycle
         self._complete_fn(uop, self.cycle)

@@ -56,16 +56,6 @@ class FifoSide:
         self.stalls_no_empty = 0
 
     # -- placement ----------------------------------------------------
-    def _queue_full(self, index: int) -> bool:
-        return len(self.queues[index]) >= self.entries_per_queue
-
-    def _producer_queue(self, uop: InFlight, src_index: int) -> Optional[int]:
-        """Queue whose tail produces source ``src_index``, if any."""
-        srcs = uop.inst.srcs
-        if src_index >= len(srcs):
-            return None
-        return self.table.queue_of(srcs[src_index])
-
     def try_place(self, uop: InFlight, cycle: int) -> bool:
         """Apply the dispatch heuristics; returns False on stall."""
         queue_index = self._choose_queue(uop)
@@ -76,20 +66,29 @@ class FifoSide:
         return True
 
     def _choose_queue(self, uop: InFlight) -> Optional[int]:
-        first = self._producer_queue(uop, 0)
-        if first is not None:
-            if not self._queue_full(first):
-                return first
-            if len(uop.inst.srcs) == 1:
-                self.stalls_rule1_full += 1
-                return None  # rule 1: producer queue full, single operand
-        second = self._producer_queue(uop, 1)
-        if second is not None:
-            if not self._queue_full(second):
-                return second
-            self.stalls_rule2_full += 1
-            return None  # rule 2: producer queue full
-        for index, queue in enumerate(self.queues):
+        # Runs on every dispatch attempt, stalled retries included, under
+        # every kernel: the rules read the queues directly rather than
+        # through a helper call per check.
+        srcs = uop.inst.srcs
+        queues = self.queues
+        capacity = self.entries_per_queue
+        queue_of = self.table.queue_of
+        if srcs:
+            first = queue_of(srcs[0])
+            if first is not None:
+                if len(queues[first]) < capacity:
+                    return first
+                if len(srcs) == 1:
+                    self.stalls_rule1_full += 1
+                    return None  # rule 1: producer queue full, single operand
+            if len(srcs) > 1:
+                second = queue_of(srcs[1])
+                if second is not None:
+                    if len(queues[second]) < capacity:
+                        return second
+                    self.stalls_rule2_full += 1
+                    return None  # rule 2: producer queue full
+        for index, queue in enumerate(queues):
             if not queue:
                 return index
         self.stalls_no_empty += 1

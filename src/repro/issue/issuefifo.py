@@ -40,11 +40,9 @@ class IssueFifoScheme(SideIdleCountersMixin, IssueScheme):
         )
         self._distributed = scheme.distributed_fus
 
-    def _side_for(self, uop: InFlight) -> FifoSide:
-        return self.fp_side if uop.op.is_fp else self.int_side
-
     def try_dispatch(self, uop: InFlight, cycle: int) -> bool:
-        return self._side_for(uop).try_place(uop, cycle)
+        side = self.fp_side if uop.op.is_fp else self.int_side
+        return side.try_place(uop, cycle)
 
     def select_and_issue(self, ctx: IssueContext) -> List[InFlight]:
         issued = self.int_side.issue_heads(ctx, self._distributed)

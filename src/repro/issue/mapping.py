@@ -23,10 +23,6 @@ from repro.isa.instructions import RegisterRef
 __all__ = ["QueueRenameTable", "ChainRenameTable"]
 
 
-def _key(ref: RegisterRef) -> Tuple[bool, int]:
-    return (ref.is_fp, ref.index)
-
-
 class QueueRenameTable:
     """Logical register → FIFO queue holding its producer at the tail."""
 
@@ -40,7 +36,7 @@ class QueueRenameTable:
     def queue_of(self, ref: RegisterRef) -> Optional[int]:
         """Queue whose tail produces ``ref``, or None."""
         self.events.add(self._read_event)
-        key = _key(ref)
+        key = (ref.is_fp, ref.index)
         queue = self._map.get(key)
         if queue is None:
             return None
@@ -61,7 +57,7 @@ class QueueRenameTable:
         if dest is None:
             return
         self.events.add(self._write_event)
-        key = _key(dest)
+        key = (dest.is_fp, dest.index)
         self._map[key] = queue
         self._tail_reg[queue] = key
 
@@ -95,7 +91,7 @@ class ChainRenameTable:
     def chain_of(self, ref: RegisterRef) -> Optional[Tuple[int, int]]:
         """(queue, chain) whose last instruction produces ``ref``."""
         self.events.add(self._read_event)
-        key = _key(ref)
+        key = (ref.is_fp, ref.index)
         qc = self._map.get(key)
         if qc is None:
             return None
@@ -113,7 +109,7 @@ class ChainRenameTable:
             return
         self.events.add(self._write_event)
         qc = (queue, chain)
-        key = _key(dest)
+        key = (dest.is_fp, dest.index)
         self._map[key] = qc
         self._tail_reg[qc] = key
 

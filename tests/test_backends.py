@@ -1,8 +1,8 @@
-"""Backend-contract tests: registry, codegen cache, SoA adapters.
+"""Backend-contract tests: kernel table, codegen cache, SoA adapters.
 
 Bit identity of the backends against the naive reference lives in
 ``tests/test_kernel_equivalence.py``; this module covers the machinery
-around them — the backend registry and its error shape, the
+around them — the kernel table and its error shape, the
 content-addressed generated-kernel cache (warm loads perform zero
 codegen, damaged files read as misses, stale ``*.tmp`` files are swept,
 a changed generator digest orphans old entries), hermetic-by-default
@@ -10,11 +10,13 @@ disk gating, and the vector scoreboard's snapshot adapters.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.backends import BACKENDS, get_backend
+from repro.backends import KERNELS
 from repro.backends import codegen, kernel_cache
 from repro.common.config import (
     KERNEL_SPECIALIZED,
@@ -40,18 +42,26 @@ def kernel_cache_dir(tmp_path, monkeypatch):
     kernel_cache.clear_memo()
 
 
-class TestRegistry:
-    def test_backends_cover_the_non_engine_kernels(self):
-        assert set(BACKENDS) == {KERNEL_VECTORIZED, KERNEL_SPECIALIZED}
-        assert set(BACKENDS) == set(VALID_KERNELS) - {"naive", "skip"}
+class TestKernelTable:
+    def test_table_covers_every_valid_kernel_in_order(self):
+        from repro.core import engine
 
-    def test_backend_name_matches_registry_key(self):
-        for name, backend in BACKENDS.items():
-            assert backend.name == name
+        assert tuple(KERNELS) == VALID_KERNELS
+        assert KERNELS["naive"] is engine.run_naive
+        assert KERNELS["skip"] is engine.run_skipping
 
-    def test_unknown_kernel_error_shape(self):
-        with pytest.raises(SimulationError, match="unknown simulation kernel"):
-            get_backend("warp")
+    def test_table_lookup_does_not_load_numpy(self):
+        # Every run looks its kernel up here; only a vectorized run may
+        # pay numpy's import time and resident memory.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = "import sys, repro.backends; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "False"
 
     def test_engine_dispatch_rejects_unknown_kernel(self):
         from repro.core import engine
@@ -61,7 +71,11 @@ class TestRegistry:
 
         trace = generate_trace(get_profile("gzip"), 600, seed=2)
         processor = Processor(default_config(IQ_64_64), trace)
-        with pytest.raises(SimulationError, match="unknown simulation kernel"):
+        with pytest.raises(
+            SimulationError,
+            match="unknown simulation kernel 'warp'; valid kernels: "
+            "naive, skip, specialized, vectorized$",
+        ):
             engine.run_kernel(processor, "warp", 600, 10_000, 200)
 
 
@@ -100,7 +114,7 @@ class TestCodegenCache:
         warm = kernel_cache.load_kernel_module(spec)
         assert codegen.CODEGEN_RUNS == after_cold
         assert warm is not first
-        assert callable(warm.make_kernel)
+        assert callable(warm.make_step)
 
     def test_cache_file_is_content_addressed_and_headed(self, kernel_cache_dir):
         spec = self._spec()
@@ -123,7 +137,7 @@ class TestCodegenCache:
         before = codegen.CODEGEN_RUNS
         module = kernel_cache.load_kernel_module(spec)
         assert codegen.CODEGEN_RUNS == before + 1
-        assert callable(module.make_kernel)
+        assert callable(module.make_step)
         # And the damaged file was healed by the rewrite.
         kernel_cache.clear_memo()
         kernel_cache.load_kernel_module(spec)
@@ -176,7 +190,7 @@ class TestCodegenCache:
             assert kernel_cache.cache_root() is None
             assert kernel_cache.kernel_path(self._spec()) is None
             module = kernel_cache.load_kernel_module(self._spec())
-            assert callable(module.make_kernel)
+            assert callable(module.make_step)
             assert list(tmp_path.iterdir()) == []
         finally:
             kernel_cache.clear_memo()

@@ -112,16 +112,15 @@ class TestListCatalog:
 
 
 class TestVersionTag:
-    def test_version_tag_prints_registry_json(self, capsys):
-        from repro.backends import BACKENDS
+    def test_version_tag_prints_kernel_table_json(self, capsys):
+        from repro.backends import KERNELS
         from repro.common.config import VALID_KERNELS
         from repro.experiments.store import SIMULATOR_VERSION_TAG
 
         main(["--version-tag"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulator_version_tag"] == SIMULATOR_VERSION_TAG
-        assert payload["kernels"] == list(VALID_KERNELS)
-        assert sorted(payload["backends"]) == sorted(BACKENDS)
+        assert payload["kernels"] == list(VALID_KERNELS) == list(KERNELS)
         assert payload["sampling_version_tag"].startswith("abella04-sampling")
 
     def test_version_tag_simulates_nothing(self, capsys, tmp_path, monkeypatch):

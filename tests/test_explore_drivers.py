@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.common.config import VALID_KERNELS
 from repro.common.errors import ConfigurationError
 from repro.experiments.store import ResultStore
 from repro.explore.__main__ import main as explore_main
@@ -325,6 +326,22 @@ class TestCli:
     def test_cli_rejects_bad_scale(self, tmp_path):
         with pytest.raises(SystemExit):
             explore_main(["--scale", "100", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("kernel", VALID_KERNELS)
+    def test_cli_accepts_every_kernel(self, tmp_path, monkeypatch, kernel):
+        import repro.explore.__main__ as cli
+
+        class Reached(Exception):
+            pass
+
+        def stop(settings, store):
+            raise Reached(settings)
+
+        monkeypatch.setattr(cli, "run_exploration", stop)
+        with pytest.raises(Reached) as excinfo:
+            explore_main(["--kernel", kernel, "--no-cache",
+                          "--out", str(tmp_path)])
+        assert excinfo.value.args[0].kernel == kernel
 
 
 from repro.sampling import SamplingPlan  # noqa: E402  (sampled-mode tests)

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.common import faults
 from repro.common.config import (
     KERNEL_NAIVE,
     KERNEL_SKIP,
@@ -273,6 +274,28 @@ class TestBroadcastDrainSpans:
                     assert proc.kernel_telemetry.drained_broadcasts == 0
         for name, (optimized, plain) in results.items():
             assert optimized == plain, name
+
+
+class TestOneSkipLoop:
+    """``vectorized`` and ``specialized`` run ``engine.run_skipping``.
+
+    The armed ``SKIP_IDLE_UNDERCOUNT`` fault lives only in that loop, so
+    on a pair with skip spans longer than 8 cycles it must move every
+    skipping kernel's stats away from ``naive`` — and identically.
+    """
+
+    @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
+    def test_armed_fault_reaches_every_skipping_kernel(self, monkeypatch,
+                                                       scheme_name):
+        monkeypatch.setenv(faults.ENV_VAR, faults.SKIP_IDLE_UNDERCOUNT)
+        scheme = ALL_SCHEMES[scheme_name]
+        results = {
+            kernel: _run("mcf", 2000, 11, scheme, kernel)[0].to_dict()
+            for kernel in VALID_KERNELS
+        }
+        assert results[KERNEL_SKIP] != results[KERNEL_NAIVE]
+        for kernel in (KERNEL_VECTORIZED, KERNEL_SPECIALIZED):
+            assert results[kernel] == results[KERNEL_SKIP], kernel
 
 
 class TestKernelTelemetry:

@@ -398,7 +398,7 @@ class TestHttpService:
         assert json.loads(served) == json.loads(printed)
         payload = json.loads(served)
         assert set(payload) == {"simulator_version_tag",
-                                "sampling_version_tag", "kernels", "backends"}
+                                "sampling_version_tag", "kernels"}
 
     def test_bad_requests_get_400s_not_crashes(self, tmp_path):
         async def body():
