@@ -52,7 +52,7 @@ from repro.common.config import (
     SCHEME_MIXBUFF,
     ProcessorConfig,
 )
-from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latency_for
+from repro.isa.opcodes import FuType, OpClass, latency_table
 
 __all__ = [
     "CODEGEN_RUNS",
@@ -72,13 +72,6 @@ _FU_SLOT = {
     FuType.INT_MULDIV: 1,
     FuType.FP_ALU: 2,
     FuType.FP_MULDIV: 3,
-}
-
-_MUX_EVENT = {
-    FuType.INT_ALU: "mux_int_alu",
-    FuType.INT_MULDIV: "mux_int_mul",
-    FuType.FP_ALU: "mux_fp_alu",
-    FuType.FP_MULDIV: "mux_fp_mul",
 }
 
 
@@ -104,7 +97,7 @@ def kernel_spec(config: ProcessorConfig) -> dict:
         "dcache_ports": config.dcache.ports,
         "rob_entries": config.rob_entries,
         "address_latency": fus.address_latency,
-        "latencies": {op.name: latency_for(op, fus) for op in OpClass},
+        "latencies": {op.name: lat for op, lat in latency_table(fus).items()},
     }
 
 
@@ -146,11 +139,11 @@ def _opinfo_literal(spec: dict) -> str:
     """
     lines = ["_OPINFO = {"]
     for op in OpClass:
-        fu = fu_type_for(op)
+        fu = op.fu_type
         lines.append(
             f"    OpClass.{op.name}: ({op.is_fp}, {op.is_memory}, {op.is_load}, "
             f"{op.is_store}, {op.is_branch}, {spec['latencies'][op.name]}, "
-            f"{_MUX_EVENT[fu]!r}, {is_pipelined(op)}, {_FU_SLOT[fu]}),"
+            f"{fu.mux_event!r}, {op.pipelined}, {_FU_SLOT[fu]}),"
         )
     lines.append("}")
     return "\n".join(lines)
@@ -432,7 +425,10 @@ if _mb_occ:
     # The MixBUFF chain selector stays interpreted (documented partial
     # specialization); it runs against a real IssueContext, sharing
     # this cycle's scoreboard and FU state exactly like the base scheme.
-    ctx = IssueContext(cycle, config, sb, fu_pool, lsq, processor._schedule_completion)
+    ctx = IssueContext(
+        cycle, config, sb, fu_pool, lsq, processor._schedule_completion,
+        processor.latencies,
+    )
     ctx.int_budget = int_b
     ctx.memory_budget = mem_b
     issued_n += len(scheme.fp_side.issue_one_per_queue(ctx, {spec['distributed']}))"""

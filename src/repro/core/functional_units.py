@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.common.config import FunctionalUnitConfig
 from repro.common.errors import ConfigurationError
-from repro.isa.opcodes import FuType, OpClass, is_pipelined
+from repro.isa.opcodes import FuType, OpClass
 
 __all__ = ["FunctionalUnit", "FuPool", "PooledFuPool", "DistributedFuPool"]
 
@@ -42,12 +42,18 @@ class FunctionalUnit:
     def accept(self, cycle: int, op: OpClass, latency: int) -> None:
         """Occupy the unit for ``op`` starting at ``cycle``."""
         self.last_issue_cycle = cycle
-        if not is_pipelined(op):
+        if not op.pipelined:
             self.busy_until = cycle + latency - 1
 
 
 class FuPool:
-    """Interface: allocate a unit for an op at a cycle, maybe per-queue."""
+    """Interface: allocate a unit for an op at a cycle, maybe per-queue.
+
+    Subclasses build ``_units`` (every unit, grouped by type) once at
+    construction.
+    """
+
+    _units: Dict[FuType, List[FunctionalUnit]]
 
     def try_allocate(
         self, fu_type: FuType, op: OpClass, latency: int, cycle: int, queue_index: Optional[int]
@@ -55,7 +61,7 @@ class FuPool:
         raise NotImplementedError
 
     def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        raise NotImplementedError
+        return self._units[fu_type]
 
     def can_allocate(
         self, fu_type: FuType, cycle: int, queue_index: Optional[int] = None
@@ -71,10 +77,7 @@ class FuPool:
 
     def all_units(self) -> List[FunctionalUnit]:
         """Every unit in the pool, for generic sweeps."""
-        units: List[FunctionalUnit] = []
-        for fu_type in FuType:
-            units.extend(self.units_of(fu_type))
-        return units
+        return [unit for units in self._units.values() for unit in units]
 
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Skipping-kernel contract: next cycle a busy unit frees up.
@@ -109,9 +112,6 @@ class PooledFuPool(FuPool):
                 FunctionalUnit(FuType.FP_MULDIV, i) for i in range(config.fp_muldiv_count)
             ],
         }
-
-    def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        return self._units[fu_type]
 
     def try_allocate(self, fu_type, op, latency, cycle, queue_index=None) -> bool:
         for unit in self._units[fu_type]:
@@ -148,14 +148,12 @@ class DistributedFuPool(FuPool):
         self._fp_muldiv = [
             FunctionalUnit(FuType.FP_MULDIV, i) for i in range((fp_queues + 1) // 2)
         ]
-
-    def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        return {
+        self._units: Dict[FuType, List[FunctionalUnit]] = {
             FuType.INT_ALU: self._int_alu,
             FuType.INT_MULDIV: self._int_muldiv,
             FuType.FP_ALU: self._fp_alu,
             FuType.FP_MULDIV: self._fp_muldiv,
-        }[fu_type]
+        }
 
     def _unit_for(self, fu_type: FuType, queue_index: int) -> FunctionalUnit:
         if fu_type is FuType.INT_ALU:

@@ -47,20 +47,13 @@ from repro.core.uop import InFlight
 from repro.frontend.branch_predictor import HybridBranchPredictor
 from repro.frontend.fetch import FetchEngine
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import FuType, latency_for
+from repro.isa.opcodes import latency_table
 from repro.issue import build_scheme
 from repro.issue.base import IssueContext
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.trace import Trace
 
 __all__ = ["Processor"]
-
-_MUX_EVENT = {
-    FuType.INT_ALU: "mux_int_alu",
-    FuType.INT_MULDIV: "mux_int_mul",
-    FuType.FP_ALU: "mux_fp_alu",
-    FuType.FP_MULDIV: "mux_fp_mul",
-}
 
 _DECODE_LATENCY = 1
 
@@ -73,6 +66,8 @@ class Processor:
         trace.validate(config.num_arch_int_regs, config.num_arch_fp_regs)
         self.config = config
         self.trace = trace
+        # Op class -> execution latency, read on every issue.
+        self.latencies = latency_table(config.fus)
         self.events = StatCounters()
         self.hierarchy = MemoryHierarchy(config)
         self.predictor = HybridBranchPredictor(config.branch)
@@ -140,9 +135,9 @@ class Processor:
             self.lsq.store_issued(uop, addr_known)
             complete = addr_known
         else:
-            complete = cycle + latency_for(op, fus)
+            complete = cycle + self.latencies[op]
         uop.complete_cycle = complete
-        self.events.add(_MUX_EVENT[uop.fu_type])
+        self.events.add(uop.fu_type.mux_event)
         if uop.dest_phys is not None:
             self.scoreboard.set_ready(uop.dest_phys, complete)
             self._broadcasts[complete] = self._broadcasts.get(complete, 0) + 1
@@ -179,6 +174,7 @@ class Processor:
             self.fu_pool,
             self.lsq,
             self._schedule_completion,
+            self.latencies,
         )
         self.scheme.select_and_issue(ctx)
         self.events.add("instructions_issued", len(ctx.issued))

@@ -1,7 +1,14 @@
 """Instruction-set layer: op classes, latencies, dynamic instructions."""
 
 from repro.isa.instructions import Instruction, RegisterRef, validate_instruction
-from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latency_for
+from repro.isa.opcodes import (
+    FuType,
+    OpClass,
+    fu_type_for,
+    is_pipelined,
+    latency_for,
+    latency_table,
+)
 
 __all__ = [
     "FuType",
@@ -11,5 +18,6 @@ __all__ = [
     "fu_type_for",
     "is_pipelined",
     "latency_for",
+    "latency_table",
     "validate_instruction",
 ]

@@ -4,19 +4,91 @@ The simulator is trace-driven, so it never interprets instruction
 semantics; it only needs each instruction's *operation class* to know
 which functional unit executes it and with what latency. The classes
 mirror the SimpleScalar/Alpha classes the paper's framework uses.
+
+Every static fact about a class is a plain member attribute, set once
+when the enum is built: the per-cycle pipeline reads ``op.is_fp`` or
+``uop.fu_type.mux_event`` as an attribute load, with no property call
+and no enum-keyed dict lookup. Member ``.value`` strings are the
+serialized form (trace spill files, fingerprints) and never change.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Dict
 
 from repro.common.config import FunctionalUnitConfig
 
-__all__ = ["OpClass", "FuType", "fu_type_for", "latency_for", "is_pipelined"]
+__all__ = [
+    "OpClass",
+    "FuType",
+    "fu_type_for",
+    "latency_for",
+    "latency_table",
+    "is_pipelined",
+]
+
+
+class FuType(enum.Enum):
+    """Functional-unit categories of Table 1.
+
+    ``mux_event`` names the energy event counted when a result leaves a
+    unit of this type through its output multiplexer.
+    """
+
+    INT_ALU = "int_alu"
+    INT_MULDIV = "int_muldiv"
+    FP_ALU = "fp_alu"
+    FP_MULDIV = "fp_muldiv"
+
+    def __init__(self, value: str) -> None:
+        self.is_fp = value in ("fp_alu", "fp_muldiv")
+        self.mux_event = {
+            "int_alu": "mux_int_alu",
+            "int_muldiv": "mux_int_mul",
+            "fp_alu": "mux_fp_alu",
+            "fp_muldiv": "mux_fp_mul",
+        }[value]
+
+
+# Memory ops and branches use an integer ALU for address / target
+# computation.
+_FU_FOR_OP = {
+    "int_alu": FuType.INT_ALU,
+    "int_mul": FuType.INT_MULDIV,
+    "int_div": FuType.INT_MULDIV,
+    "fp_alu": FuType.FP_ALU,
+    "fp_mul": FuType.FP_MULDIV,
+    "fp_div": FuType.FP_MULDIV,
+    "load": FuType.INT_ALU,
+    "store": FuType.INT_ALU,
+    "fp_load": FuType.INT_ALU,
+    "fp_store": FuType.INT_ALU,
+    "branch": FuType.INT_ALU,
+}
 
 
 class OpClass(enum.Enum):
-    """Operation class of a dynamic instruction."""
+    """Operation class of a dynamic instruction.
+
+    Attributes (fixed per member):
+
+    * ``is_fp`` — the instruction lives in the FP side of the machine.
+      FP loads/stores compute their address on the integer side (as in
+      real machines) but their *destination* is an FP register; the
+      paper steers instructions by the cluster of the queue that holds
+      them, so loads/stores are classified by where they are dispatched:
+      address computation is an integer operation, hence all loads,
+      stores and branches are integer-side instructions here.
+    * ``is_memory`` / ``is_load`` / ``is_store`` — loads and stores of
+      either register class.
+    * ``is_branch``.
+    * ``writes_fp_register`` — the destination (if any) is an FP
+      register.
+    * ``pipelined`` — the functional unit accepts a new instruction every
+      cycle; divides occupy their mul/div unit for the whole operation.
+    * ``fu_type`` — the :class:`FuType` that executes the class.
+    """
 
     INT_ALU = "int_alu"
     INT_MUL = "int_mul"
@@ -30,106 +102,51 @@ class OpClass(enum.Enum):
     FP_STORE = "fp_store"
     BRANCH = "branch"
 
-    @property
-    def is_fp(self) -> bool:
-        """True if the instruction lives in the FP side of the machine.
-
-        FP loads/stores compute their address on the integer side (as in
-        real machines) but their *destination* is an FP register; the
-        paper steers instructions by the cluster of the queue that holds
-        them, so we classify loads/stores by where they are dispatched:
-        address computation is an integer operation, hence all loads,
-        stores and branches are integer-side instructions here.
-        """
-        return self in (OpClass.FP_ALU, OpClass.FP_MUL, OpClass.FP_DIV)
-
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores of either register class."""
-        return self in (OpClass.LOAD, OpClass.STORE, OpClass.FP_LOAD, OpClass.FP_STORE)
-
-    @property
-    def is_load(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.FP_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        return self in (OpClass.STORE, OpClass.FP_STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        return self is OpClass.BRANCH
-
-    @property
-    def writes_fp_register(self) -> bool:
-        """True if the destination register (if any) is an FP register."""
-        return self in (OpClass.FP_ALU, OpClass.FP_MUL, OpClass.FP_DIV, OpClass.FP_LOAD)
-
-
-class FuType(enum.Enum):
-    """Functional-unit categories of Table 1."""
-
-    INT_ALU = "int_alu"
-    INT_MULDIV = "int_muldiv"
-    FP_ALU = "fp_alu"
-    FP_MULDIV = "fp_muldiv"
-
-    @property
-    def is_fp(self) -> bool:
-        return self in (FuType.FP_ALU, FuType.FP_MULDIV)
-
-
-_FU_FOR_OP = {
-    OpClass.INT_ALU: FuType.INT_ALU,
-    OpClass.INT_MUL: FuType.INT_MULDIV,
-    OpClass.INT_DIV: FuType.INT_MULDIV,
-    OpClass.FP_ALU: FuType.FP_ALU,
-    OpClass.FP_MUL: FuType.FP_MULDIV,
-    OpClass.FP_DIV: FuType.FP_MULDIV,
-    # Memory ops and branches use an integer ALU for address / target
-    # computation.
-    OpClass.LOAD: FuType.INT_ALU,
-    OpClass.STORE: FuType.INT_ALU,
-    OpClass.FP_LOAD: FuType.INT_ALU,
-    OpClass.FP_STORE: FuType.INT_ALU,
-    OpClass.BRANCH: FuType.INT_ALU,
-}
+    def __init__(self, value: str) -> None:
+        self.is_fp = value in ("fp_alu", "fp_mul", "fp_div")
+        self.is_load = value in ("load", "fp_load")
+        self.is_store = value in ("store", "fp_store")
+        self.is_memory = self.is_load or self.is_store
+        self.is_branch = value == "branch"
+        self.writes_fp_register = value in ("fp_alu", "fp_mul", "fp_div", "fp_load")
+        self.pipelined = value not in ("int_div", "fp_div")
+        self.fu_type = _FU_FOR_OP[value]
 
 
 def fu_type_for(op: OpClass) -> FuType:
     """Functional-unit type that executes instructions of class ``op``."""
-    return _FU_FOR_OP[op]
+    return op.fu_type
 
 
-def latency_for(op: OpClass, fus: FunctionalUnitConfig) -> int:
-    """Execution latency of ``op`` on the configured functional units.
+def latency_table(fus: FunctionalUnitConfig) -> Dict[OpClass, int]:
+    """Execution latency of every op class on the configured units.
 
     For loads this is the *address computation* latency only; the cache
     access is added by the memory system. Branches resolve in one ALU
     cycle. Stores take the address latency (data movement happens at
-    commit and is off the critical path).
+    commit and is off the critical path). Build it once per
+    configuration; the pipeline reads it on every issue.
     """
-    if op is OpClass.INT_ALU or op is OpClass.BRANCH:
-        return fus.int_alu_latency
-    if op is OpClass.INT_MUL:
-        return fus.int_mul_latency
-    if op is OpClass.INT_DIV:
-        return fus.int_div_latency
-    if op is OpClass.FP_ALU:
-        return fus.fp_alu_latency
-    if op is OpClass.FP_MUL:
-        return fus.fp_mul_latency
-    if op is OpClass.FP_DIV:
-        return fus.fp_div_latency
-    if op.is_memory:
-        return fus.address_latency
-    raise ValueError(f"unknown op class {op!r}")
+    return {
+        OpClass.INT_ALU: fus.int_alu_latency,
+        OpClass.INT_MUL: fus.int_mul_latency,
+        OpClass.INT_DIV: fus.int_div_latency,
+        OpClass.FP_ALU: fus.fp_alu_latency,
+        OpClass.FP_MUL: fus.fp_mul_latency,
+        OpClass.FP_DIV: fus.fp_div_latency,
+        OpClass.LOAD: fus.address_latency,
+        OpClass.STORE: fus.address_latency,
+        OpClass.FP_LOAD: fus.address_latency,
+        OpClass.FP_STORE: fus.address_latency,
+        OpClass.BRANCH: fus.int_alu_latency,
+    }
+
+
+def latency_for(op: OpClass, fus: FunctionalUnitConfig) -> int:
+    """Execution latency of ``op`` on ``fus`` (see :func:`latency_table`)."""
+    return latency_table(fus)[op]
 
 
 def is_pipelined(op: OpClass) -> bool:
-    """Whether the functional unit is pipelined for this class.
-
-    Divides occupy their mul/div unit for the whole operation; everything
-    else accepts a new instruction every cycle.
-    """
-    return op not in (OpClass.INT_DIV, OpClass.FP_DIV)
+    """Whether the functional unit is pipelined for this class."""
+    return op.pipelined

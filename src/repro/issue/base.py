@@ -11,7 +11,7 @@ budgets, memory-port budget and load disambiguation gating.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
@@ -19,7 +19,7 @@ from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
-from repro.isa.opcodes import latency_for
+from repro.isa.opcodes import OpClass
 
 __all__ = ["IssueContext", "IssueScheme", "SideIdleCountersMixin"]
 
@@ -30,7 +30,8 @@ class IssueContext:
     ``issue`` performs every check and, on success, reserves the
     resources and asks the pipeline (via ``complete_fn``) to schedule the
     instruction's completion. Schemes only decide *which* instructions to
-    offer and in what order.
+    offer and in what order. ``latencies`` is the processor's op-class
+    latency table (:func:`repro.isa.opcodes.latency_table`).
     """
 
     def __init__(
@@ -41,6 +42,7 @@ class IssueContext:
         fu_pool: FuPool,
         lsq: LoadStoreQueue,
         complete_fn: Callable[[InFlight, int], None],
+        latencies: Mapping[OpClass, int],
     ) -> None:
         self.cycle = cycle
         self.config = config
@@ -48,6 +50,7 @@ class IssueContext:
         self.fu_pool = fu_pool
         self.lsq = lsq
         self._complete_fn = complete_fn
+        self._latencies = latencies
         self.int_budget = config.int_issue_width
         self.fp_budget = config.fp_issue_width
         self.memory_budget = config.dcache.ports
@@ -78,8 +81,9 @@ class IssueContext:
             or self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
         ):
             return False
-        latency = latency_for(op, self.config.fus)
-        if not self.fu_pool.try_allocate(uop.fu_type, op, latency, self.cycle, queue_index):
+        if not self.fu_pool.try_allocate(
+            uop.fu_type, op, self._latencies[op], self.cycle, queue_index
+        ):
             return False
         if op.is_fp:
             self.fp_budget -= 1

@@ -23,9 +23,23 @@ from typing import Dict, Tuple
 
 from repro.common.config import ProcessorConfig
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import OpClass, latency_for
+from repro.isa.opcodes import OpClass, latency_table
 
-__all__ = ["IssueTimeEstimator"]
+__all__ = ["IssueTimeEstimator", "value_latency_table"]
+
+
+def value_latency_table(config: ProcessorConfig) -> Dict[OpClass, int]:
+    """Estimated cycles from issue to value availability, per op class.
+
+    The execution latency, except that loads assume an L1 hit on top of
+    their address computation. Shared by this estimator and MixBUFF's
+    chain-latency table.
+    """
+    table = latency_table(config.fus)
+    load_value = config.fus.address_latency + config.dcache.hit_latency
+    for op in (OpClass.LOAD, OpClass.FP_LOAD):
+        table[op] = load_value
+    return table
 
 
 class IssueTimeEstimator:
@@ -35,9 +49,7 @@ class IssueTimeEstimator:
         self.config = config
         self._dest_cycle: Dict[Tuple[bool, int], int] = {}
         self._all_store_addr = 0
-        self._load_value_latency = (
-            config.fus.address_latency + config.dcache.hit_latency
-        )
+        self._value_latency = value_latency_table(config)
 
     def operand_cycle(self, ref) -> int:
         """Estimated cycle when ``ref``'s value is available (0 = ready)."""
@@ -45,9 +57,7 @@ class IssueTimeEstimator:
 
     def value_latency(self, op: OpClass) -> int:
         """Estimated cycles from issue to value availability for ``op``."""
-        if op.is_load:
-            return self._load_value_latency
-        return latency_for(op, self.config.fus)
+        return self._value_latency[op]
 
     def estimate(self, inst: Instruction, cycle: int) -> int:
         """Estimated issue cycle of ``inst`` dispatched at ``cycle``.
@@ -71,7 +81,7 @@ class IssueTimeEstimator:
                 self._all_store_addr = addr_known
         if inst.dest is not None:
             self._dest_cycle[(inst.dest.is_fp, inst.dest.index)] = (
-                issue + self.value_latency(inst.op)
+                issue + self._value_latency[inst.op]
             )
         return issue
 

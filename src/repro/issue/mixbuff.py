@@ -22,9 +22,9 @@ from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.core.scoreboard import NEVER
 from repro.core.uop import InFlight
-from repro.isa.opcodes import latency_for
 from repro.issue.base import IssueContext, IssueScheme, SideIdleCountersMixin
 from repro.issue.fifo_side import FifoSide
+from repro.issue.latency_estimator import value_latency_table
 from repro.issue.mapping import ChainRenameTable
 from repro.issue.selection import SelectableEntry, select_entry
 
@@ -67,15 +67,12 @@ class MixBuffSide:
         self.num_queues = num_queues
         self.entries_per_queue = entries_per_queue
         self.max_chains = max_chains
-        self.config = config
         self.events = events
         self.table = ChainRenameTable(events, "qrename")
         self.queues: List[List[InFlight]] = [[] for __ in range(num_queues)]
         self.chains: List[Dict[int, _Chain]] = [{} for __ in range(num_queues)]
         self.dispatch_stalls = 0
-        self._load_value_latency = (
-            config.fus.address_latency + config.dcache.hit_latency
-        )
+        self._value_latency = value_latency_table(config)
 
     # -- placement ----------------------------------------------------
     def _queue_full(self, index: int) -> bool:
@@ -200,17 +197,12 @@ class MixBuffSide:
         if chain.starter is uop:
             chain.starter = None
         chain.pending -= 1
-        chain.completion_cycle = cycle + self._estimated_value_latency(uop)
+        chain.completion_cycle = cycle + self._value_latency[uop.op]
         if chain.pending == 0:
             # Chain drained: free its identifier and retire its mapping
             # so later consumers start fresh chains.
             del self.chains[queue_index][uop.chain_id]
             self.table.chain_retired(queue_index, uop.chain_id)
-
-    def _estimated_value_latency(self, uop: InFlight) -> int:
-        if uop.op.is_load:
-            return self._load_value_latency
-        return latency_for(uop.op, self.config.fus)
 
     # -- skipping-kernel support ------------------------------------------
     def idle_counters(self) -> dict:

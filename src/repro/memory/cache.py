@@ -8,7 +8,7 @@ latency supplied by the :class:`~repro.memory.hierarchy.MemoryHierarchy`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, Iterator, List
 
 from repro.common.config import CacheConfig
 
@@ -84,6 +84,33 @@ class Cache:
         if len(ways) > self._associativity:
             ways.pop(0)
         return False, self._hit_latency + miss_latency_fn()
+
+    def warm(self, addresses: Iterable[int]) -> Iterator[int]:
+        """Touch each address in order; yield the addresses that missed.
+
+        The tag/LRU update is exactly :meth:`access_latency`'s, but no
+        counter moves and no latency is computed: this is the cache
+        pre-warming walk, which is never measured. The generator is
+        lazy, so feeding its output into the next level's ``warm`` fills
+        that level miss by miss, in the order a real access stream would.
+        """
+        shift = self._line_shift
+        set_bits = self._set_bits
+        mask = self._set_mask
+        sets = self._sets
+        associativity = self._associativity
+        for addr in addresses:
+            line = addr >> shift
+            tag = line >> set_bits
+            ways = sets[line & mask]
+            if tag in ways:
+                ways.remove(tag)
+                ways.append(tag)
+                continue
+            ways.append(tag)
+            if len(ways) > associativity:
+                ways.pop(0)
+            yield addr
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no counters)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.memory.cache import Cache
@@ -52,6 +54,17 @@ class MemoryHierarchy:
             addr, lambda: self._l2_fill_latency(addr)
         )
         return latency
+
+    def warm(self, l1: Cache, addresses: Iterable[int]) -> None:
+        """Walk ``addresses`` through ``l1`` (the I- or D-cache) and the L2.
+
+        Leaves exactly the tag/LRU state that one
+        :meth:`instruction_fetch_latency` / :meth:`data_access_latency`
+        call per address would, in one flat loop per level and without
+        moving any counter (see :meth:`Cache.warm`).
+        """
+        for __ in self.l2.warm(l1.warm(addresses)):
+            pass
 
     def state_snapshot(self) -> tuple:
         """Tag/LRU state of all three caches (for pre-warm reuse)."""

@@ -19,7 +19,8 @@ ratio.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import random
+from typing import Dict, Iterator, Tuple
 
 from repro.common.config import stable_fingerprint
 from repro.common.rng import make_rng
@@ -80,56 +81,66 @@ def prewarm(
         profile, seed, num_int_regs, num_fp_regs
     )
     rng = make_rng(seed, f"prewarm:{profile.name}")
-    line = hierarchy.config.dcache.line_bytes
-    ws = profile.memory.working_set_bytes
-    stream_region = min(profile.memory.stream_region_bytes, ws)
-    random_region = min(profile.memory.random_region_bytes, ws)
-
     # Instruction lines: every body PC, in layout order.
-    for body_index, body in enumerate(program.bodies):
-        for slot in range(len(body)):
-            hierarchy.instruction_fetch_latency(program.body_pc(body_index, slot))
-
-    # Stream regions: touch every line each stream will revisit.
-    for body in program.bodies:
-        for static in body:
-            if not static.op.is_memory or static.addr_random:
-                continue
-            base = program.data_base + static.addr_offset
-            for offset in range(0, stream_region, line):
-                hierarchy.data_access_latency(base + offset)
-
-    # Random regions: sample to steady state. Touching each line a few
-    # times in random order leaves the LRU stacks in the stationary
-    # distribution of a uniform reference stream.
-    region_lines = max(1, random_region // line)
-    has_random = any(
-        static.addr_random
-        for body in program.bodies
-        for static in body
-        if static.op.is_memory
+    hierarchy.warm(
+        hierarchy.icache,
+        (
+            program.body_pc(body_index, slot)
+            for body_index, body in enumerate(program.bodies)
+            for slot in range(len(body))
+        ),
     )
-    if has_random:
-        # For regions much larger than L2 the caches saturate long before
-        # every line is touched; cap the work (steady state only needs
-        # the LRU stacks filled with a random resident subset).
-        samples = min(_SAMPLES_PER_LINE * region_lines, 50_000)
-        for __ in range(samples):
-            hierarchy.data_access_latency(
-                program.data_base + rng.randrange(0, random_region, 4)
-            )
-
-    # Re-touch the streams last: their steady-state residency beats the
-    # random churn because they are re-referenced every iteration.
-    for body in program.bodies:
-        for static in body:
-            if not static.op.is_memory or static.addr_random:
-                continue
-            base = program.data_base + static.addr_offset
-            for offset in range(0, stream_region, line):
-                hierarchy.data_access_latency(base + offset)
-
+    hierarchy.warm(
+        hierarchy.dcache,
+        _data_addresses(program, profile, rng, hierarchy.config.dcache.line_bytes),
+    )
     hierarchy.icache.reset_statistics()
     hierarchy.dcache.reset_statistics()
     hierarchy.l2.reset_statistics()
     _WARM_STATE[memo_key] = hierarchy.state_snapshot()
+
+
+def _data_addresses(
+    program: StaticProgram,
+    profile: WorkloadProfile,
+    rng: random.Random,
+    line: int,
+) -> Iterator[int]:
+    """The warming walk's data addresses, generated lazily in order.
+
+    Streams first, then the random-region samples, then the streams
+    again. A generator, because the random samples alone run to 50,000
+    addresses per benchmark.
+    """
+    ws = profile.memory.working_set_bytes
+    stream_region = min(profile.memory.stream_region_bytes, ws)
+    random_region = min(profile.memory.random_region_bytes, ws)
+    memory_ops = [
+        static for body in program.bodies for static in body if static.op.is_memory
+    ]
+    stream_bases = [
+        program.data_base + static.addr_offset
+        for static in memory_ops
+        if not static.addr_random
+    ]
+
+    # Stream regions: touch every line each stream will revisit.
+    for base in stream_bases:
+        yield from range(base, base + stream_region, line)
+
+    # Random regions: sample to steady state. Touching each line a few
+    # times in random order leaves the LRU stacks in the stationary
+    # distribution of a uniform reference stream.
+    if any(static.addr_random for static in memory_ops):
+        # For regions much larger than L2 the caches saturate long before
+        # every line is touched; cap the work (steady state only needs
+        # the LRU stacks filled with a random resident subset).
+        region_lines = max(1, random_region // line)
+        samples = min(_SAMPLES_PER_LINE * region_lines, 50_000)
+        for __ in range(samples):
+            yield program.data_base + rng.randrange(0, random_region, 4)
+
+    # Re-touch the streams last: their steady-state residency beats the
+    # random churn because they are re-referenced every iteration.
+    for base in stream_bases:
+        yield from range(base, base + stream_region, line)

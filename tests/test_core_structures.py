@@ -313,6 +313,14 @@ class TestFunctionalUnits:
         assert len(pool.units_of(FuType.FP_MULDIV)) == 4
         assert len(pool.units_of(FuType.INT_ALU)) == 8
 
+    def test_distributed_unit_map_is_built_once(self):
+        pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
+        assert pool.units_of(FuType.INT_MULDIV) is pool.units_of(FuType.INT_MULDIV)
+        assert len(pool.all_units()) == 8 + 4 + 4 + 4
+        pool.try_allocate(FuType.FP_MULDIV, OpClass.FP_DIV, 12, 5, queue_index=3)
+        assert pool.units_of(FuType.FP_MULDIV)[1].busy_until == 16
+        assert pool.next_activity_cycle(6) == 17
+
     def test_distributed_requires_queue_index(self):
         pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
         with pytest.raises(ConfigurationError):
@@ -335,6 +343,24 @@ class TestInFlight:
     def test_load_issue_srcs_include_all(self):
         uop = make_uop(load(0, r(1), 0x100, [r(2)]), src_phys=[(False, 2)])
         assert uop.issue_srcs == [(False, 2)]
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            alu(3, r(1), [r(2)]),
+            alu(4, r(1), op=OpClass.INT_DIV),
+            alu(5, f(1), op=OpClass.FP_MUL),
+            load(6, f(2), 0x40, fp=True),
+            store(7, r(1), 0x80, [r(2)]),
+        ],
+        ids=lambda inst: inst.op.name,
+    )
+    def test_static_fields_match_instruction(self, inst):
+        uop = make_uop(inst)
+        assert uop.inst is inst
+        assert uop.op is inst.op
+        assert uop.seq == inst.seq
+        assert uop.fu_type is inst.op.fu_type
 
     def test_state_flags(self):
         uop = make_uop(alu(0, r(1)))

@@ -8,6 +8,7 @@ from repro.core.functional_units import PooledFuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
+from repro.isa.opcodes import latency_table
 from repro.issue.base import IssueContext
 from repro.issue.fifo_side import FifoSide
 
@@ -79,6 +80,7 @@ class TestIssue:
             PooledFuPool(cfg.fus),
             LoadStoreQueue(),
             lambda uop, cyc: completions.append(uop),
+            latency_table(cfg.fus),
         )
         return ctx
 

@@ -5,7 +5,14 @@ import pytest
 from repro.common.config import FunctionalUnitConfig
 from repro.common.errors import TraceError
 from repro.isa.instructions import Instruction, validate_instruction
-from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latency_for
+from repro.isa.opcodes import (
+    FuType,
+    OpClass,
+    fu_type_for,
+    is_pipelined,
+    latency_for,
+    latency_table,
+)
 
 from tests.util import alu, branch, f, load, r, store
 
@@ -26,6 +33,66 @@ class TestOpClass:
     def test_fp_load_writes_fp_register(self):
         assert OpClass.FP_LOAD.writes_fp_register
         assert not OpClass.LOAD.writes_fp_register
+
+
+# Every op class's static facts, spelled out so a typo in the value-string
+# sets that build the attributes fails loudly. Columns: is_fp, is_memory,
+# is_load, is_store, is_branch, writes_fp_register, pipelined, fu_type.
+_OP_TABLE = {
+    OpClass.INT_ALU: (False, False, False, False, False, False, True, FuType.INT_ALU),
+    OpClass.INT_MUL: (False, False, False, False, False, False, True, FuType.INT_MULDIV),
+    OpClass.INT_DIV: (False, False, False, False, False, False, False, FuType.INT_MULDIV),
+    OpClass.FP_ALU: (True, False, False, False, False, True, True, FuType.FP_ALU),
+    OpClass.FP_MUL: (True, False, False, False, False, True, True, FuType.FP_MULDIV),
+    OpClass.FP_DIV: (True, False, False, False, False, True, False, FuType.FP_MULDIV),
+    OpClass.LOAD: (False, True, True, False, False, False, True, FuType.INT_ALU),
+    OpClass.STORE: (False, True, False, True, False, False, True, FuType.INT_ALU),
+    OpClass.FP_LOAD: (False, True, True, False, False, True, True, FuType.INT_ALU),
+    OpClass.FP_STORE: (False, True, False, True, False, False, True, FuType.INT_ALU),
+    OpClass.BRANCH: (False, False, False, False, True, False, True, FuType.INT_ALU),
+}
+
+_FU_TABLE = {
+    FuType.INT_ALU: (False, "mux_int_alu"),
+    FuType.INT_MULDIV: (False, "mux_int_mul"),
+    FuType.FP_ALU: (True, "mux_fp_alu"),
+    FuType.FP_MULDIV: (True, "mux_fp_mul"),
+}
+
+
+class TestAttributeTables:
+    def test_every_member_is_pinned(self):
+        assert set(_OP_TABLE) == set(OpClass)
+        assert set(_FU_TABLE) == set(FuType)
+
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
+    def test_op_class_attributes(self, op):
+        actual = (
+            op.is_fp,
+            op.is_memory,
+            op.is_load,
+            op.is_store,
+            op.is_branch,
+            op.writes_fp_register,
+            op.pipelined,
+            op.fu_type,
+        )
+        assert actual == _OP_TABLE[op]
+        assert fu_type_for(op) is op.fu_type
+        assert is_pipelined(op) is op.pipelined
+
+    @pytest.mark.parametrize("fu", list(FuType), ids=lambda fu: fu.name)
+    def test_fu_type_attributes(self, fu):
+        assert (fu.is_fp, fu.mux_event) == _FU_TABLE[fu]
+
+    def test_values_are_the_serialized_names(self):
+        assert [op.value for op in OpClass] == [
+            "int_alu", "int_mul", "int_div", "fp_alu", "fp_mul", "fp_div",
+            "load", "store", "fp_load", "fp_store", "branch",
+        ]
+        assert [fu.value for fu in FuType] == [
+            "int_alu", "int_muldiv", "fp_alu", "fp_muldiv",
+        ]
 
 
 class TestFuMapping:
@@ -53,6 +120,17 @@ class TestLatencies:
         fus = FunctionalUnitConfig()
         assert latency_for(OpClass.LOAD, fus) == fus.address_latency
         assert latency_for(OpClass.FP_STORE, fus) == fus.address_latency
+
+    def test_table_matches_latency_for(self):
+        fus = FunctionalUnitConfig(int_mul_latency=5, fp_div_latency=30, address_latency=2)
+        table = latency_table(fus)
+        assert set(table) == set(OpClass)
+        for op in OpClass:
+            assert table[op] == latency_for(op, fus)
+        assert table[OpClass.INT_MUL] == 5
+        assert table[OpClass.FP_DIV] == 30
+        assert table[OpClass.STORE] == 2
+        assert table[OpClass.BRANCH] == fus.int_alu_latency
 
     def test_divides_are_unpipelined(self):
         assert not is_pipelined(OpClass.INT_DIV)

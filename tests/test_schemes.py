@@ -8,7 +8,7 @@ from repro.core.functional_units import PooledFuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OpClass, latency_table
 from repro.issue import build_scheme
 from repro.issue.base import IssueContext
 from repro.issue.conventional import ConventionalIssueQueue
@@ -33,6 +33,7 @@ def make_ctx(config, cycle=0):
         PooledFuPool(config.fus),
         LoadStoreQueue(),
         lambda uop, cyc: None,
+        latency_table(config.fus),
     )
     return ctx
 
